@@ -15,6 +15,7 @@ ConnectX-class ASICs recover losses.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +26,6 @@ from repro.net.packet import Opcode, Packet
 from repro.sim.engine import Event, Simulator
 from repro.verbs.cq import CompletionQueue, Cqe
 from repro.verbs.device import Device
-from repro.verbs.mr import IndirectMkeyTable
 
 
 class QpState(enum.Enum):
@@ -133,10 +133,7 @@ class BaseQp:
     def _place(self, packet: Packet) -> None:
         """Apply the packet's RDMA Write to receiver memory."""
         target = self.device.lookup_mkey(packet.rkey)
-        if isinstance(target, IndirectMkeyTable):
-            target.write(packet.remote_offset, packet.length, packet.payload)
-        else:
-            target.write(packet.remote_offset, packet.length, packet.payload)
+        target.write(packet.remote_offset, packet.length, packet.payload)
 
 
 class UcQp(BaseQp):
@@ -396,7 +393,7 @@ class RcQp(BaseQp):
     The receiver delivers strictly in order, ACKs cumulatively (coalescing up
     to ``ack_every`` packets) and NAKs the expected PSN on a sequence gap;
     the sender retransmits from the lowest unacknowledged PSN on NAK or on
-    retransmission timeout.
+    retransmission timeout -- at most once per RTO without ACK progress.
     """
 
     ACK_BYTES = 64  # wire footprint of an ACK/NAK frame
@@ -415,6 +412,8 @@ class RcQp(BaseQp):
             raise ConfigError(f"window must be > 0, got {window_packets}")
         if ack_every <= 0:
             raise ConfigError(f"ack_every must be > 0, got {ack_every}")
+        if rto is not None and not (math.isfinite(rto) and rto > 0):
+            raise ConfigError(f"rto must be finite and > 0, got {rto}")
         self.window_packets = window_packets
         self.rto = rto
         self.ack_every = ack_every
@@ -426,7 +425,12 @@ class RcQp(BaseQp):
         self._built = 0
         self._wake: Event | None = None
         self._pump = self.sim.process(self._send_pump())
-        self._timer_armed_at: float | None = None
+        # Retransmission timer as a lazy progress deadline: ACK progress only
+        # moves the float, and one pending heap event per QP re-pushes itself
+        # until it fires at or past the deadline (see ``_arm_timer``).
+        self._rto_s = 0.0  # effective RTO, fixed at connect()
+        self._rto_deadline: float | None = None
+        self._rto_pending = False
         # Receiver state.
         self._epsn = 0
         self._nak_sent_for = -1
@@ -446,6 +450,12 @@ class RcQp(BaseQp):
         return self._m_naks_sent.value
 
     # -- configuration -----------------------------------------------------------
+
+    def connect(self, remote: QpInfo) -> None:
+        super().connect(remote)
+        # A QP's channel is fixed once it connects (Device.replace_link), so
+        # the effective RTO is too.
+        self._rto_s = self._effective_rto()
 
     def _effective_rto(self) -> float:
         if self.rto is not None:
@@ -545,30 +555,35 @@ class RcQp(BaseQp):
                 yield self.sim.timeout(done - self.sim.now)
 
     def _arm_timer(self) -> None:
-        if self._timer_armed_at is not None:
+        """Start the RTO deadline unless it is already running."""
+        if self._rto_deadline is not None:
             return
-        self._timer_armed_at = self.sim.now
-        snapshot = self._snd_una
-        rto = self._effective_rto()
+        self._rto_deadline = self.sim.now + self._rto_s
+        if self._rto_pending:
+            return  # the pending event re-pushes itself at the new deadline
+        self._rto_pending = True
 
         def _expire() -> None:
-            self._timer_armed_at = None
-            if self._snd_una >= len(self._descs) and self._snd_una == self._snd_nxt:
-                return  # everything acked
-            if self._snd_una == snapshot:
-                # No progress within RTO: Go-Back-N rewind.
-                self._m_rto_rewinds.inc()
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "rto_rewind", cat="verbs", track=self._track,
-                        snd_una=self._snd_una, snd_nxt=self._snd_nxt,
-                    )
-                self._snd_nxt = self._snd_una
-                self._kick()
-            if self._snd_una < self._snd_nxt or self._snd_una < len(self._descs):
-                self._arm_timer()
+            deadline = self._rto_deadline
+            if deadline is None:
+                self._rto_pending = False  # everything acked
+                return
+            if self.sim.now < deadline:
+                self.sim.call_at(deadline, _expire)  # progress moved it
+                return
+            # No progress within RTO: Go-Back-N rewind.
+            self._m_rto_rewinds.inc()
+            if self._trace.enabled:
+                self._trace.instant(
+                    "rto_rewind", cat="verbs", track=self._track,
+                    snd_una=self._snd_una, snd_nxt=self._snd_nxt,
+                )
+            self._snd_nxt = self._snd_una
+            self._kick()
+            self._rto_deadline = self.sim.now + self._rto_s
+            self.sim.call_at(self._rto_deadline, _expire)
 
-        self.sim.call_in(rto, _expire)
+        self.sim.call_at(self._rto_deadline, _expire)
 
     def _on_ack(self, acked_psn: int, is_nak: bool) -> None:
         new_una = acked_psn + 1
@@ -588,7 +603,7 @@ class RcQp(BaseQp):
                             )
                         )
             self._snd_una = new_una
-            self._timer_armed_at = None
+            self._rto_deadline = None
             if self._snd_una < len(self._descs):
                 self._arm_timer()
             self._kick()

@@ -9,6 +9,7 @@ import pytest
 from repro.common.config import ChannelConfig
 from repro.common.units import KiB
 from repro.sim.engine import Simulator
+from repro.telemetry import Telemetry
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.device import Device, Fabric
 
@@ -33,8 +34,9 @@ def make_wire(
     distance_km: float = 10.0,
     mtu: int = 4 * KiB,
     seed: int = 0,
+    telemetry: Telemetry | None = None,
 ) -> Wire:
-    sim = Simulator()
+    sim = Simulator(telemetry=telemetry)
     fabric = Fabric(sim, seed=seed)
     a = fabric.add_device("a")
     b = fabric.add_device("b")

@@ -1,8 +1,15 @@
 """RC QP: reliable delivery with Go-Back-N over lossy channels."""
 
+import math
+
 import pytest
 
+import repro.experiments.testbed as testbed
+from repro.common.config import ChannelConfig
+from repro.common.errors import ConfigError
 from repro.common.units import KiB, MiB
+from repro.sim.engine import Simulator
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import RcQp, SendWr
 
@@ -104,3 +111,89 @@ class TestWindow:
         assert qa._snd_nxt - qa._snd_una <= 4
         wire.sim.run()
         assert len(qa.send_cq.poll(10)) == 1
+
+
+class TestConfig:
+    @pytest.mark.parametrize("rto", [0.0, -1e-3, math.inf, math.nan])
+    def test_rejects_non_positive_or_non_finite_rto(self, wire, rto):
+        with pytest.raises(ConfigError, match="rto"):
+            RcQp(wire.a, send_cq=wire.cq(), recv_cq=wire.cq(), rto=rto)
+
+
+def _rc_timer_entries(sim) -> int:
+    """Heap entries whose callback is an RcQp retransmission timer."""
+    n = 0
+    for _time, _seq, event in sim._heap:
+        for cb in event.callbacks:
+            fn = getattr(cb, "__wrapped__", cb)
+            if getattr(fn, "__qualname__", "").startswith("RcQp._arm_timer"):
+                n += 1
+    return n
+
+
+class TestRetransmissionTimer:
+    @pytest.mark.parametrize(
+        "message_bytes, n_messages, elapsed",
+        [
+            (1 * MiB, 8, 0.00016844010666667114),
+            (16 * MiB, 4, 0.0013428452266669578),
+        ],
+    )
+    def test_fig14_link_event_diet(
+        self, monkeypatch, message_bytes, n_messages, elapsed
+    ):
+        # The Fig 14 testbed link: heap events per data packet must not grow
+        # with transfer length, and the lossless timeline stays exact.
+        sims = []
+
+        class Recording(Simulator):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                sims.append(self)
+
+        monkeypatch.setattr(testbed, "Simulator", Recording)
+        mtu = 4 * KiB
+        result = testbed.run_rc_throughput(
+            message_bytes=message_bytes,
+            n_messages=n_messages,
+            channel=ChannelConfig(
+                bandwidth_bps=400e9, distance_km=0.1, mtu_bytes=mtu
+            ),
+        )
+        (sim,) = sims
+        data_packets = n_messages * (message_bytes // mtu)
+        # sim._seq counts every heap push of the run.
+        assert sim._seq / data_packets <= 2.5
+        assert result.elapsed == elapsed
+
+    def test_lossy_rewinds_at_most_once_per_rto(self):
+        ring = RingBufferSink()
+        wire = make_wire(
+            drop=0.1,
+            distance_km=50.0,
+            seed=5,
+            telemetry=Telemetry(trace=True, trace_sinks=[ring]),
+        )
+        qa, qb = make_pair(wire)
+        mr = MemoryRegion(256 * KiB)
+        wire.b.reg_mr(mr)
+        qa.post_send(SendWr(length=256 * KiB, rkey=mr.rkey, wr_id=0))
+        sim = wire.sim
+        # Only the sender arms a timer, so the heap holds at most one.
+        while sim._heap:
+            sim.step()
+            assert _rc_timer_entries(sim) <= 1
+        assert [c.wr_id for c in qa.send_cq.poll(10)] == [0]
+        rewinds = [
+            ev for ev in ring.events
+            if ev.name == "rto_rewind" and ev.track == qa._track
+        ]
+        stalled = [
+            (prev, cur)
+            for prev, cur in zip(rewinds, rewinds[1:])
+            if cur.args["snd_una"] == prev.args["snd_una"]
+        ]
+        assert stalled, "the run must rewind twice without ACK progress"
+        rto = qa._effective_rto()
+        for prev, cur in stalled:
+            assert cur.ts >= prev.ts + rto
