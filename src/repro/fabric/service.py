@@ -52,7 +52,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -248,7 +250,8 @@ class _PairState:
     def __init__(self, key, qps, pacer, base_rtt, rto_base, path):
         self.key = key
         self.qps = qps
-        self.waiting: deque[Event] = deque()
+        #: Flows queued for a QP slot: their re-admission callbacks.
+        self.waiting: deque[Callable[[], None]] = deque()
         self.pacer = pacer
         self.base_rtt = base_rtt
         self.rto_base = rto_base
@@ -445,138 +448,88 @@ class FabricService:
         self._m_flows_submitted.inc()
         self._m_bytes_submitted.inc(nbytes)
         state.metrics.flows_submitted.inc()
-        self.sim.call_at(start, lambda: self._start_flow(ticket))
+        self.sim.call_at(start, self._start_flow, ticket)
         return ticket
 
     def _start_flow(self, ticket: FlowTicket) -> None:
-        """Launch one flow: fluid callback chain or the event-driven
-        generator (default, and the fallback for monitored fabrics or
-        routes a fluid run cannot book)."""
+        """Launch one flow as a chain of callbacks (no generator).
+
+        A fluid run books the whole flow at admission when its route can
+        be booked (unmonitored fabrics only); every other flow -- the
+        default, and the fallback for monitored fabrics, unbookable
+        routes and flows that start without a route -- is pumped one
+        segment at a time.
+        """
         if self.sim.config.fluid and self.net.health is None:
             try:
                 pair = self._pair(ticket.src, ticket.dst)
             except ConfigError:
-                pass  # no route: the generator's partition poll handles it
+                pass  # no route: the partition poll handles it
             else:
                 if self.net.fluid_plan(pair.path) is not None:
-                    self._start_flow_fluid(ticket, pair)
+                    self._admit_flow(ticket, pair, fluid=True)
                     return
-        self.sim.process(self._run_flow(ticket))
+        self._poll_route(ticket, self.sim.now + self.config.partition_deadline)
 
     # -- flow lifecycle --------------------------------------------------------
 
-    def _run_flow(self, ticket: FlowTicket):
-        tenant = self.tenants[ticket.tenant]
-        # Pair creation resolves a route; under a full partition there is
-        # none yet.  Poll (deterministically) until the partition deadline,
-        # then fail cleanly instead of crashing the process.
-        deadline = self.sim.now + self.config.partition_deadline
-        while True:
-            try:
-                pair = self._pair(ticket.src, ticket.dst)
-                break
-            except ConfigError:
-                if self.sim.now >= deadline:
-                    self._fail_partitioned(
-                        ticket,
-                        None,
-                        f"no route {ticket.src!r} -> {ticket.dst!r} at "
-                        f"admission for {self.config.partition_deadline}s",
-                    )
-                    return
-                self._m_no_route_waits.inc()
-                wait = self.config.partition_deadline / 8.0
-                self._m_no_route_wait_seconds.inc(wait)
-                yield self.sim.timeout(wait)
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="fabric", track=f"{self.name}.{ticket.src}",
-                msg=ticket.seq, bytes=ticket.nbytes, tenant=ticket.tenant,
-                chunks=max(
-                    1, math.ceil(ticket.nbytes / self.config.segment_bytes)
-                ),
-            )
-        # Admission onto the bounded QP pool: least-loaded QP, FIFO wait
-        # when every QP is at its multiplexing limit.
-        while True:
-            qp = min(pair.qps, key=lambda q: (q.active, q.index))
-            if qp.active < self.config.max_flows_per_qp:
-                qp.active += 1
-                if qp.active == 1:
-                    self._g_qps.add(1)
-                break
-            gate = self.sim.event()
-            pair.waiting.append(gate)
-            self._m_qp_waits.inc()
-            t0 = self.sim.now
-            yield gate
-            self._m_qp_wait_seconds.inc(self.sim.now - t0)
-        ticket.started = self.sim.now
+    def _poll_route(self, ticket: FlowTicket, deadline: float) -> None:
+        """Resolve the flow's pair, polling through a full partition.
 
-        segments = max(1, math.ceil(ticket.nbytes / self.config.segment_bytes))
-        state = _FlowState(ticket, pair, qp, segments, self.config.segment_bytes)
-        pair.flows.append(state)
-        for idx in range(segments):
-            if ticket.failed:
-                break  # partition deadline expired mid-submission
-            wait = self._admission_wait(tenant, state, state.seg_size(idx))
-            if wait > 0.0:
-                self._m_admission_stalls.inc()
-                self._m_admission_stall_seconds.inc(wait)
-                yield self.sim.timeout(wait)
-                if self._trace.enabled:
-                    self._trace.instant(
-                        "cc_stall", cat="cc", track=f"{self.name}.{ticket.src}",
-                        msg=ticket.seq, chunk=idx, stall=wait,
-                    )
-            self._send_segment(state, idx, 0)
-        yield ticket.done
-
-        pair.flows.remove(state)
-        qp.active -= 1
-        if qp.active == 0:
-            self._g_qps.add(-1)
-        if pair.waiting:
-            pair.waiting.popleft().succeed()
-        if ticket.completed is not None:
-            tenant.completion_times.append(ticket.span)
-
-    # -- fluid flow lifecycle --------------------------------------------------
-
-    def _start_flow_fluid(self, ticket: FlowTicket, pair: _PairState) -> None:
-        """Fluid flow runner: no generator, no per-segment stall timeouts.
-
-        The event-driven :meth:`_run_flow` sleeps between segments while
-        the admission buckets refill; for fixed-rate token buckets,
-        reserving every segment upfront yields the *same* absolute send
-        times (debt drains linearly), so the fluid runner charges all
-        reservations at admission and books each segment's journey at its
-        computed send instant.  What is lost is intra-flow feedback: a
-        congestion controller's rate change mid-flow no longer shifts the
-        flow's own later segments -- a documented fluid approximation
-        (``docs/simulation.md``).
+        Pair creation resolves a route; under a full partition there is
+        none yet.  Poll (deterministically) until the partition deadline,
+        then fail cleanly.
         """
-        if self._trace.enabled:
-            self._trace.instant(
-                "msg_post", cat="fabric", track=f"{self.name}.{ticket.src}",
-                msg=ticket.seq, bytes=ticket.nbytes, tenant=ticket.tenant,
-                chunks=max(
-                    1, math.ceil(ticket.nbytes / self.config.segment_bytes)
-                ),
-            )
-        self._admit_flow_fluid(ticket, pair)
+        try:
+            pair = self._pair(ticket.src, ticket.dst)
+        except ConfigError:
+            if self.sim.now >= deadline:
+                self._fail_partitioned(
+                    ticket,
+                    None,
+                    f"no route {ticket.src!r} -> {ticket.dst!r} at "
+                    f"admission for {self.config.partition_deadline}s",
+                )
+                return
+            self._m_no_route_waits.inc()
+            wait = self.config.partition_deadline / 8.0
+            self._m_no_route_wait_seconds.inc(wait)
+            self.sim.call_in(wait, self._poll_route, ticket, deadline)
+            return
+        self._admit_flow(ticket, pair, fluid=False)
 
-    def _admit_flow_fluid(self, ticket: FlowTicket, pair: _PairState) -> None:
-        """QP-pool admission, callback-shaped (mirrors the generator's
-        least-loaded/FIFO-wait loop, re-checking after every gate)."""
+    def _admit_flow(
+        self,
+        ticket: FlowTicket,
+        pair: _PairState,
+        fluid: bool,
+        waited_since: float | None = None,
+    ) -> None:
+        """Admission onto the bounded QP pool, shared by both modes.
+
+        Least-loaded QP; FIFO wait when every QP is at its multiplexing
+        limit, re-checking after every wake-up.  An admitted flow is
+        pumped segment by segment, or (``fluid``) has its whole schedule
+        booked by :meth:`_schedule_flow_fluid`.
+        """
+        if waited_since is None:
+            if self._trace.enabled:
+                self._trace.instant(
+                    "msg_post", cat="fabric",
+                    track=f"{self.name}.{ticket.src}",
+                    msg=ticket.seq, bytes=ticket.nbytes, tenant=ticket.tenant,
+                    chunks=max(
+                        1, math.ceil(ticket.nbytes / self.config.segment_bytes)
+                    ),
+                )
+        else:
+            self._m_qp_wait_seconds.inc(self.sim.now - waited_since)
         qp = min(pair.qps, key=lambda q: (q.active, q.index))
         if qp.active >= self.config.max_flows_per_qp:
-            gate = self.sim.event()
-            pair.waiting.append(gate)
             self._m_qp_waits.inc()
             t0 = self.sim.now
-            gate.callbacks.append(
-                lambda _event: self._requeue_flow_fluid(ticket, pair, t0)
+            pair.waiting.append(
+                lambda: self._admit_flow(ticket, pair, fluid, t0)
             )
             return
         qp.active += 1
@@ -586,20 +539,76 @@ class FabricService:
         segments = max(1, math.ceil(ticket.nbytes / self.config.segment_bytes))
         state = _FlowState(ticket, pair, qp, segments, self.config.segment_bytes)
         pair.flows.append(state)
-        ticket.done.callbacks.append(
-            lambda _event: self._finish_flow_fluid(state)
-        )
-        self._schedule_flow_fluid(state)
+        if fluid:
+            self._schedule_flow_fluid(state)
+            self._finish_when_done(state)
+        else:
+            self._pump_flow(state, 0)
+
+    def _pump_flow(self, state: _FlowState, idx: int) -> None:
+        """Send segments ``idx..`` in order, sleeping through admission
+        stalls; after the last one, wait for the flow to resolve."""
+        ticket = state.ticket
+        tenant = self.tenants[ticket.tenant]
+        while idx < state.segments and not ticket.failed:
+            wait = self._admission_wait(tenant, state, state.seg_size(idx))
+            if wait > 0.0:
+                self._m_admission_stalls.inc()
+                self._m_admission_stall_seconds.inc(wait)
+                self.sim.call_in(wait, self._send_stalled, state, idx, wait)
+                return
+            self._send_segment(state, idx, 0)
+            idx += 1
+        self._finish_when_done(state)
+
+    def _send_stalled(self, state: _FlowState, idx: int, stall: float) -> None:
+        if self._trace.enabled:
+            self._trace.instant(
+                "cc_stall", cat="cc", track=f"{self.name}.{state.ticket.src}",
+                msg=state.ticket.seq, chunk=idx, stall=stall,
+            )
+        self._send_segment(state, idx, 0)
+        self._pump_flow(state, idx + 1)
+
+    def _finish_when_done(self, state: _FlowState) -> None:
+        """Run :meth:`_finish_flow` when ``ticket.done`` is dispatched, or
+        from a same-instant heap entry if it already was."""
+        done = state.ticket.done
+        if done.processed:
+            self.sim.call_in(0.0, self._finish_flow, state)
+        else:
+            done.callbacks.append(lambda _event: self._finish_flow(state))
+
+    def _finish_flow(self, state: _FlowState) -> None:
+        """Completion/failure cleanup: release the QP slot, wake the
+        pair's next waiting flow, record the completion time."""
+        ticket = state.ticket
+        pair = state.pair
+        pair.flows.remove(state)
+        state.qp.active -= 1
+        if state.qp.active == 0:
+            self._g_qps.add(-1)
+        if pair.waiting:
+            self.sim.call_in(0.0, pair.waiting.popleft())
+        if ticket.completed is not None:
+            self.tenants[ticket.tenant].completion_times.append(ticket.span)
+
+    # -- fluid flow lifecycle --------------------------------------------------
 
     def _schedule_flow_fluid(self, state: _FlowState) -> None:
         """Charge the whole flow's admission upfront; book tranche 0.
 
-        All three stacked buckets refill lazily and every reserve in
-        this flow shares one ``sim.now``, so the per-segment waits
-        collapse to vectorized cumulative-charge expressions -- exactly
-        the waits the packet generator's sequential reserves would
-        compute, minus intra-flow rate feedback (a documented fluid
-        approximation: a flow's schedule is fixed at admission).
+        The packet pump sleeps between segments while the admission
+        buckets refill; for fixed-rate token buckets, reserving every
+        segment upfront yields the *same* absolute send times (debt
+        drains linearly).  All three stacked buckets refill lazily and
+        every reserve in this flow shares one ``sim.now``, so the
+        per-segment waits collapse to vectorized cumulative-charge
+        expressions -- exactly the waits the pump's sequential reserves
+        would compute, minus intra-flow rate feedback: a congestion
+        controller's rate change mid-flow no longer shifts the flow's own
+        later segments (a documented fluid approximation,
+        ``docs/simulation.md``).
         """
         ticket = state.ticket
         pair = state.pair
@@ -897,7 +906,7 @@ class FabricService:
 
         Fires at the last segment's ACK arrival.  Pacer feedback already
         happened synchronously at booking time (see
-        :meth:`_admit_flow_fluid`), so this event only applies the
+        :meth:`_book_flow_fluid`), so this event only applies the
         reliability bookkeeping: acked bits, byte/segment counters and
         flow completion.  Semantics per segment mirror :meth:`_on_ack`.
         """
@@ -940,25 +949,6 @@ class FabricService:
                     msg=ticket.seq, tenant=ticket.tenant, bytes=ticket.nbytes,
                 )
             ticket.done.succeed()
-
-    def _requeue_flow_fluid(
-        self, ticket: FlowTicket, pair: _PairState, t0: float
-    ) -> None:
-        self._m_qp_wait_seconds.inc(self.sim.now - t0)
-        self._admit_flow_fluid(ticket, pair)
-
-    def _finish_flow_fluid(self, state: _FlowState) -> None:
-        """Completion/failure cleanup (the generator's tail, as a
-        ``ticket.done`` callback)."""
-        ticket = state.ticket
-        state.pair.flows.remove(state)
-        state.qp.active -= 1
-        if state.qp.active == 0:
-            self._g_qps.add(-1)
-        if state.pair.waiting:
-            state.pair.waiting.popleft().succeed()
-        if ticket.completed is not None:
-            self.tenants[ticket.tenant].completion_times.append(ticket.span)
 
     def _admission_wait(
         self, tenant: TenantState, state: _FlowState, nbytes: int
@@ -1007,7 +997,7 @@ class FabricService:
                 ticket.src,
                 ticket.dst,
                 packet,
-                lambda pkt: self._on_delivered(state, idx, attempt, sent_at, pkt),
+                partial(self._on_delivered, state, idx, attempt, sent_at),
             )
         except ConfigError:
             # Every candidate path crosses an open breaker: no RTO armed
@@ -1026,7 +1016,7 @@ class FabricService:
                 )
         self._m_segments_sent.inc()
         rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_in(rto, lambda: self._on_rto(state, idx, attempt))
+        self.sim.call_in(rto, self._on_rto, state, idx, attempt)
 
     def _send_segment_fluid(self, state: _FlowState, idx: int, attempt: int) -> None:
         """Book the segment's whole journey now instead of relaying it.
@@ -1077,17 +1067,13 @@ class FabricService:
             if ack_delay is not None:
                 self.sim.call_at(
                     arrival + ack_delay,
-                    lambda: self._on_ack(
-                        state, idx, attempt, sent_at, packet.ce
-                    ),
+                    self._on_ack, state, idx, attempt, sent_at, packet,
                 )
                 return
         # Dropped along the way (or no reverse route): arm the RTO -- only
         # now, so the common delivered case costs zero timer events.
         rto = min(state.pair.rto_base * (2.0 ** attempt), 4.0)
-        self.sim.call_at(
-            sent_at + rto, lambda: self._on_rto(state, idx, attempt)
-        )
+        self.sim.call_at(sent_at + rto, self._on_rto, state, idx, attempt)
 
     def _on_delivered(
         self, state: _FlowState, idx: int, attempt: int, sent_at: float, packet: Packet
@@ -1102,12 +1088,16 @@ class FabricService:
             # sender's RTO / partition clock takes it from here.
             return
         self.sim.call_in(
-            ack_delay,
-            lambda: self._on_ack(state, idx, attempt, sent_at, packet.ce),
+            ack_delay, self._on_ack, state, idx, attempt, sent_at, packet
         )
 
     def _on_ack(
-        self, state: _FlowState, idx: int, attempt: int, sent_at: float, ce: bool
+        self,
+        state: _FlowState,
+        idx: int,
+        attempt: int,
+        sent_at: float,
+        packet: Packet,
     ) -> None:
         if state.acked[idx]:
             self._m_dup_acks.inc()
@@ -1136,7 +1126,7 @@ class FabricService:
             pacer = state.pair.pacer
             if attempt == state.attempt[idx]:  # Karn: first-attempt samples only
                 pacer.on_rtt_sample(self.sim.now - sent_at)
-            if ce:
+            if packet.ce:
                 self._m_ecn_echoes.inc()
                 pacer.on_ecn_echo(1, 1)
             else:

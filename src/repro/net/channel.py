@@ -72,7 +72,7 @@ class Channel:
         name: str = "channel",
     ):
         self.sim = sim
-        self.config = config
+        self.config = config  # also caches the per-packet constants
         self.name = name
         self.rng = rng
         if loss is None:
@@ -121,6 +121,23 @@ class Channel:
         self._trace = sim.telemetry.trace
         self._track = f"net.{name}"
 
+    @property
+    def config(self) -> ChannelConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: ChannelConfig) -> None:
+        # ChannelConfig is frozen; cache the derived per-packet constants
+        # (bytes_per_second and one_way_delay are computed properties) and
+        # refresh them when a live link's weather is swapped.
+        self._config = config
+        self._bps = config.bytes_per_second
+        self._owd = config.one_way_delay
+        self._buffer_bytes = config.buffer_bytes
+        self._ecn_bytes = config.ecn_threshold_bytes
+        self._jitter = config.jitter_fraction
+        self._dup = config.duplicate_probability
+
     def attach_sink(self, sink: Callable[[Packet], None]) -> None:
         """Register the receive-side port that consumes delivered packets."""
         self._sink = sink
@@ -128,7 +145,7 @@ class Channel:
     # -- transmission ----------------------------------------------------------
 
     def serialization_time(self, size_bytes: int) -> float:
-        return size_bytes / self.config.bytes_per_second
+        return size_bytes / self._bps
 
     @staticmethod
     def _lineage(packet: Packet) -> dict:
@@ -159,13 +176,12 @@ class Channel:
         # Serialization backlog at enqueue: data already queued but not yet
         # on the wire.  It is both the tail-drop criterion and the gauge /
         # ECN congestion signal.
-        backlog = (start - now) * self.config.bytes_per_second
+        bps = self._bps
+        backlog = (start - now) * bps
         self._g_queue_delay.set(start - now)
         self._g_backlog.set(backlog)
-        if (
-            self.config.buffer_bytes > 0
-            and backlog + packet.length > self.config.buffer_bytes
-        ):
+        buffer_bytes = self._buffer_bytes
+        if buffer_bytes > 0 and backlog + packet.length > buffer_bytes:
             # Bounded egress buffer overflow tail-drops the new packet.
             self._m_dropped.inc()
             self._m_tail_drops.inc()
@@ -177,10 +193,8 @@ class Channel:
                 )
             return now  # dropped at enqueue: no wire time consumed
 
-        if (
-            self.config.ecn_threshold_bytes > 0
-            and backlog >= self.config.ecn_threshold_bytes
-        ):
+        ecn_bytes = self._ecn_bytes
+        if ecn_bytes > 0 and backlog >= ecn_bytes:
             # RFC 3168-style Congestion Experienced mark: the packet is
             # delivered, the receiver echoes the mark through the
             # reliability ACK path (see repro.cc).
@@ -192,7 +206,7 @@ class Channel:
                     backlog_bytes=backlog,
                 )
 
-        done = start + self.serialization_time(packet.length)
+        done = start + packet.length / bps
         self._busy_until = done
 
         if self.loss.drops(self.rng, packet.length):
@@ -223,10 +237,7 @@ class Channel:
                     chunk=packet.chunk, attempt=packet.attempt,
                 )
         self.sim.call_at(done + self._flight_delay(), lambda p=packet: self._deliver(p))
-        if (
-            self.config.duplicate_probability > 0
-            and self.rng.random() < self.config.duplicate_probability
-        ):
+        if self._dup > 0 and self.rng.random() < self._dup:
             # In-network duplication: the copy takes its own (jittered) path.
             self._m_duplicated.inc()
             self.sim.call_at(
@@ -636,12 +647,12 @@ class Channel:
         return done, ok, marked
 
     def _flight_delay(self) -> float:
-        delay = self.config.one_way_delay
-        if self.config.jitter_fraction > 0:
+        delay = self._owd
+        if self._jitter > 0:
             # Truncated-at-zero Gaussian jitter; enough to reorder packets
             # whose serialization times are closer than the jitter scale.
             jitter = self.rng.normal(
-                0.0, self.config.jitter_fraction * max(delay, 1e-9)
+                0.0, self._jitter * max(delay, 1e-9)
             )
             delay = max(0.0, delay + jitter)
         return delay

@@ -3,6 +3,9 @@
 The kernel is intentionally minimal: an event heap keyed by
 ``(time, sequence)`` (sequence breaks ties deterministically), one-shot
 :class:`Event` futures, and generator-based :class:`Process` coroutines.
+Plain timed callbacks (:meth:`Simulator.call_at` / :meth:`Simulator.call_in`)
+skip the future entirely: their heap entry holds just the function and
+its arguments.
 
 Typical protocol code::
 
@@ -186,6 +189,26 @@ class Process(Event):
         self._waiting_on = nxt
 
 
+class _Call:
+    """Bare heap entry of :meth:`Simulator.call_at`: a function and its
+    arguments.
+
+    No future, callback list or adapter is allocated; :meth:`Simulator.step`
+    calls ``fn(*args)`` directly.  :attr:`callbacks` is a read-only view for
+    heap inspectors that expect every entry to carry one.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., None], args: tuple):
+        self.fn = fn
+        self.args = args
+
+    @property
+    def callbacks(self) -> list[Callable[..., None]]:
+        return [self.fn]
+
+
 class Simulator:
     """Event loop with a simulated clock starting at ``t = 0`` seconds.
 
@@ -203,7 +226,7 @@ class Simulator:
     ):
         self.config = config if config is not None else SimConfig()
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | _Call]] = []
         self._seq = 0
         #: Optional lazy windowed sampler / wall-clock profiler hooks.
         #: Disarmed cost is one attribute load per step; neither may
@@ -262,22 +285,26 @@ class Simulator:
         """Start a generator as a concurrent process."""
         return Process(self, gen)
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        ev = Event(self)
-        cb = lambda _ev: fn()  # noqa: E731 - tiny adapter, kept allocation-free
-        # Expose the real target so SimProfiler charges the callback to the
-        # scheduling component, not to this engine trampoline.
-        cb.__wrapped__ = fn
-        ev.callbacks.append(cb)
-        ev.succeed(None, delay=time - self._now)
-        return ev
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated ``time``.
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` after ``delay`` simulated seconds."""
-        return self.call_at(self._now + delay, fn)
+        The entry lands at ``now + (time - now)``, which can differ from
+        ``time`` by one ulp: that rounding is part of every recorded trace.
+        Passing arguments instead of closing over them allocates no
+        closure cells, which the garbage collector would otherwise keep
+        scanning while thousands of timers are pending.
+        """
+        now = self._now
+        if time < now:
+            raise SimulationError(f"cannot schedule in the past: {time} < {now}")
+        heapq.heappush(
+            self._heap, (now + (time - now), self._seq, _Call(fn, args))
+        )
+        self._seq += 1
+
+    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
+        self.call_at(self._now + delay, fn, *args)
 
     def all_of(self, events: list[Event]) -> Event:
         """An event that fires once every event in ``events`` has fired."""
@@ -343,9 +370,20 @@ class Simulator:
         sampler = self._sampler
         if sampler is not None and time >= sampler.next_deadline:
             sampler.poll(time)
+        profiler = self._profiler
+        if type(event) is _Call:
+            fn, args = event.fn, event.args
+            if profiler is None:
+                fn(*args)
+            else:
+                # Expose the real target so SimProfiler charges the call to
+                # the scheduling component, not to this adapter.
+                cb = lambda _ev: fn(*args)  # noqa: E731
+                cb.__wrapped__ = fn
+                profiler.call(cb, event)
+            return
         event._state = Event._PROCESSED
         callbacks, event.callbacks = event.callbacks, []
-        profiler = self._profiler
         if profiler is None:
             for cb in callbacks:
                 cb(event)

@@ -9,7 +9,7 @@ and every dispatched callback is timed with ``time.perf_counter`` and
 charged to a category derived from the code that actually ran:
 
 * a :class:`~repro.sim.engine.Process` resumption is charged to the
-  *generator* being resumed (``repro.fabric.service:_run_flow``), not to
+  *generator* being resumed (``repro.dpa.worker:DpaWorker._run``), not to
   the engine's ``Process._resume`` trampoline;
 * a plain function/lambda callback is charged to its defining module and
   qualname (``repro.fabric.service:FabricService._on_ack.<locals>.<lambda>``

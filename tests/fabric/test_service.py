@@ -1,5 +1,8 @@
 """FabricService: tenancy, QP pooling, admission, reliability."""
 
+import hashlib
+import io
+
 import pytest
 
 from repro.common.config import ChannelConfig
@@ -10,9 +13,16 @@ from repro.fabric.service import (
     FabricServiceConfig,
     TenantSpec,
 )
-from repro.fabric.topology import FabricNetwork, dumbbell
+from repro.fabric.chaos import fabric_schedule, install_fabric_faults
+from repro.fabric.health import EdgeHealthMonitor
+from repro.fabric.report import metrics_digest
+from repro.fabric.scenarios import ScaleConfig, scale_scenario
+from repro.fabric.topology import FabricNetwork, dumbbell, two_tier
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.sim.engine import Simulator
+from repro.sim.profile import SimProfiler
+from repro.telemetry import Telemetry
+from repro.telemetry.trace import JsonlSink
 
 HOST = ChannelConfig(bandwidth_bps=25e9, distance_km=0.05)
 WAN = ChannelConfig(bandwidth_bps=10e9, distance_km=50.0)
@@ -245,3 +255,143 @@ class TestDeterminism:
         # This scenario has no loss/jitter, so metrics must not depend on
         # the seed at all -- catching accidental RNG coupling.
         assert self.run_digest(0) == self.run_digest(1)
+
+def traced_sim():
+    buf = io.StringIO()
+    sim = Simulator(
+        telemetry=Telemetry(trace=True, trace_sinks=[JsonlSink(buf)])
+    )
+    return sim, buf
+
+
+def fingerprint(sim, buf):
+    """(sha256 of the JSONL trace, ``fabric.*`` metrics digest)."""
+    trace = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return trace, metrics_digest(sim.telemetry.metrics)
+
+
+class TestFlowLifecycle:
+    """Packet-mode flows run as callback chains: route poll, QP-pool
+    admission, per-segment pump, finish on ``ticket.done``.
+
+    The pinned fingerprints were recorded with the earlier generator
+    lifecycle; the callback chain must reproduce its event order exactly.
+    """
+
+    def test_event_budget_per_flow(self):
+        # A lossless fabric of mostly single-segment flows: submit, start,
+        # per-hop deliveries, ACK and RTO, with no per-flow boot or
+        # completion event on top (the generator lifecycle spent 10.92).
+        profiler = SimProfiler()
+        result = scale_scenario(
+            ScaleConfig(
+                tenants=200, duration=0.003, offered_load_bps=60e9, seed=1
+            ),
+            telemetry=Telemetry(profiler=profiler),
+        )
+        assert result.messages >= 1000
+        assert result.completed == result.messages
+        # sim._seq counts every heap push of the run.
+        assert profiler.sim._seq / result.messages <= 9.0
+        categories = [c["category"] for c in profiler.report()["categories"]]
+        assert not any("_run_flow" in c for c in categories), categories
+
+    def test_qp_pool_saturation_pinned(self):
+        sim, buf = traced_sim()
+        topo = dumbbell(
+            left_hosts=2, right_hosts=1, host_link=HOST, bottleneck=WAN
+        )
+        service = FabricService(
+            FabricNetwork(sim, topo),
+            config=FabricServiceConfig(qp_pool_per_pair=1, max_flows_per_qp=1),
+        )
+        service.add_tenant(TenantSpec(name="a"))
+        for i in range(12):
+            service.submit(
+                "a", f"hL{i % 2}", "hR0", (24 + 40 * (i % 3)) * KiB,
+                at=i * 5e-6,
+            )
+        sim.run()
+        assert sim.telemetry.metrics.value("fabric.qp_pool_waits") == 10
+        assert service.completed_flows == 12
+        assert fingerprint(sim, buf) == (
+            "d43d5cdc5380311289014a0da91219097a0a6f985f74d8af0bc1beff6b19a517",
+            "5f34a13b4bdc2cdbad4015b41134acb998619fc454dbfccff24aaa1ac422acd9",
+        )
+
+    def test_admission_stalls_pinned(self):
+        sim, buf = traced_sim()
+        topo = dumbbell(
+            left_hosts=2, right_hosts=1, host_link=HOST, bottleneck=WAN
+        )
+        service = FabricService(FabricNetwork(sim, topo))
+        # Both quotas sit far below the tenants' offered load.
+        service.add_tenant(
+            TenantSpec(name="slow", quota_bps=2e9, burst_bytes=32 * KiB)
+        )
+        service.add_tenant(
+            TenantSpec(name="hog", quota_bps=1e9, compliant=False)
+        )
+        for i in range(10):
+            service.submit(
+                "slow", "hL0", "hR0", (48 + 16 * (i % 4)) * KiB, at=i * 10e-6
+            )
+            service.submit("hog", "hL1", "hR0", 96 * KiB, at=i * 10e-6 + 3e-6)
+        sim.run()
+        assert sim.telemetry.metrics.value("fabric.admission_stalls") == 51
+        assert service.completed_flows == 20
+        assert fingerprint(sim, buf) == (
+            "37ff29330f6733134cac8265072437ab69b23efaf54a0aeef8766215bdc467bb",
+            "acd3e3c375689301243e9293a07fd6c70f9a48d4d9399505ae543509433f08fe",
+        )
+
+    def test_partition_failures_pinned(self):
+        # Every WAN core crashes: flows already running fail mid-flow on
+        # the no-route clock; flows on pairs first used during the
+        # partition fail at admission.  A one-QP pool makes the instant
+        # each flow releases its slot observable.
+        sim, buf = traced_sim()
+        topo = two_tier(
+            tors=4,
+            hosts_per_tor=1,
+            host_link=HOST,
+            wan_link=ChannelConfig(
+                bandwidth_bps=10e9, distance_km=100.0,
+                buffer_bytes=512 * KiB, ecn_threshold_bytes=128 * KiB,
+            ),
+            wan_routers=2,
+        )
+        network = FabricNetwork(sim, topo, seed=3)
+        rtt = network.path_rtt("h0-0", "h2-0")
+        EdgeHealthMonitor(network)
+        service = FabricService(
+            network,
+            config=FabricServiceConfig(
+                partition_deadline=4 * rtt, qp_pool_per_pair=1,
+                max_flows_per_qp=2,
+            ),
+        )
+        install_fabric_faults(
+            network, fabric_schedule("fabric_partition", rtt=rtt)
+        )
+        service.add_tenant(TenantSpec(name="a"))
+        service.add_tenant(TenantSpec(name="q", quota_bps=0.5e9))
+        hosts = topo.hosts
+        for i in range(8):
+            service.submit("a", hosts[0], hosts[2], 256 * KiB, at=i * rtt)
+            service.submit(
+                "q", hosts[1], hosts[3], 192 * KiB, at=i * rtt + rtt / 3
+            )
+        late = [(2, 0), (2, 1), (3, 0), (3, 1), (0, 3), (1, 2), (0, 1), (2, 3)]
+        for i, (src, dst) in enumerate(late):
+            service.submit(
+                "a", hosts[src], hosts[dst], 64 * KiB, at=(20 + 8 * i) * rtt
+            )
+        sim.run()
+        errors = [str(t.error) for t in service.flows if t.error is not None]
+        at_admission = sum("at admission" in e for e in errors)
+        assert (at_admission, len(errors) - at_admission) == (2, 14)
+        assert fingerprint(sim, buf) == (
+            "90ad10663714431a59d9bd487fc31afb59e1c46c4b37605abc9ffb3ba382bbd4",
+            "69bd1c17918f0d9f9b82398fc2979a867b0cb760724c6acfe62c7fa516327cd1",
+        )

@@ -209,3 +209,56 @@ class TestProcesses:
             return value
 
         assert sim.run(sim.process(proc())) == "early"
+
+
+class TestCallEntries:
+    def test_mixed_same_instant_entries_fire_in_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, lambda: order.append("call_at"))
+        sim.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout"))
+        ev = sim.event()
+        ev.callbacks.append(lambda _ev: order.append("succeed"))
+        ev.succeed(delay=1.0)
+        sim.call_in(1.0, lambda: order.append("call_in"))
+        sim.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout2"))
+        sim.run()
+        assert order == ["call_at", "timeout", "succeed", "call_in", "timeout2"]
+
+    def test_call_at_lands_on_now_plus_difference(self):
+        # The entry is keyed now + (time - now), one ulp off the requested
+        # float for this pair; recorded traces depend on that rounding.
+        now, time = 0.00632017984288742, 0.027494046385096487
+        sim = Simulator()
+        seen = []
+        sim.call_at(now, lambda: sim.call_at(time, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [0.02749404638509649]
+        assert seen[0] != time
+
+    def test_pending_entry_exposes_scheduled_fn(self):
+        sim = Simulator()
+
+        def fn(*args):
+            pass
+
+        sim.call_at(1.0, fn)
+        sim.call_in(2.0, fn, "arg")
+        assert [entry.callbacks for _t, _s, entry in sim._heap] == [[fn], [fn]]
+
+    def test_arguments_are_passed_at_dispatch(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda *args: seen.append(args), 1, "two")
+        sim.call_in(2.0, lambda *args: seen.append(args))
+        sim.run()
+        assert seen == [(1, "two"), ()]
+
+    def test_call_at_and_call_in_return_none(self):
+        sim = Simulator()
+        assert sim.call_at(1.0, lambda: None) is None
+        assert sim.call_in(1.0, lambda: None) is None
+
+    def test_call_in_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().call_in(-1.0, lambda: None)
